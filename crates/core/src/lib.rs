@@ -52,9 +52,7 @@ mod error;
 mod index;
 mod multi_get;
 mod pipeline;
-mod scan;
 mod scan_iter;
-mod scan_n;
 mod stats;
 mod verify;
 mod write_ops;

@@ -17,23 +17,25 @@ use crate::client::{AmbiguousProbe, Descent, Outcome, ProbeKind, SlotRef, Sphinx
 use crate::config::CacheMode;
 use crate::error::SphinxError;
 
-/// The split oracle the Inner Node Hash Table needs: recover an entry's
-/// key hash from the entry word by reading the referenced node's 42-bit
+/// The split oracle the Inner Node Hash Table needs: recover entries' key
+/// hashes from their entry words by reading each referenced node's 42-bit
 /// full-prefix hash (word 1), which equals the low 42 bits of the
-/// placement hash.
-fn inht_split_oracle(client: &mut DmClient, word: u64) -> Result<u64, RaceError> {
-    let entry = HashEntry::decode(word).ok_or(RaceError::Corrupt {
-        what: "undecodable hash entry",
-    })?;
-    let w1 = client
-        .read_u64(
-            entry
-                .addr
-                .checked_add(8)
-                .map_err(race_hash::RaceError::from)?,
-        )
-        .map_err(RaceError::from)?;
-    Ok(w1 & ((1 << 42) - 1))
+/// placement hash. All the reads go out in one doorbell batch.
+fn inht_split_oracle(client: &mut DmClient, words: &[u64]) -> Result<Vec<u64>, RaceError> {
+    let reads = words
+        .iter()
+        .map(|&word| {
+            let entry = HashEntry::decode(word).ok_or(RaceError::Corrupt {
+                what: "undecodable hash entry",
+            })?;
+            Ok((entry.addr.checked_add(8)?, 8))
+        })
+        .collect::<Result<Vec<_>, RaceError>>()?;
+    Ok(client
+        .read_many(&reads)?
+        .iter()
+        .map(|w1| u64::from_le_bytes(w1[..8].try_into().expect("8 bytes")) & ((1 << 42) - 1))
+        .collect())
 }
 
 impl SphinxClient {
@@ -180,6 +182,15 @@ impl SphinxClient {
                         // Another client deleted it (and owns the slot
                         // cleanup).
                         return Ok(false);
+                    }
+                    if leaf.status == NodeStatus::Locked {
+                        // An in-place write holds the leaf. Its unlocking
+                        // write stores status Idle, so a tombstone set now
+                        // would be undone while the unlink below still
+                        // drops the written value: wait for the writer.
+                        self.obs_retry();
+                        self.dm.backoff(&self.retry);
+                        continue;
                     }
                     // 1. Invalidate the leaf (fails under a concurrent
                     //    update; retry with fresh state).

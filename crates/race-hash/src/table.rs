@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-use dm_sim::{DmClient, DmError, RemotePtr, RetryPolicy, Transport};
+use dm_sim::{DmClient, DmError, DoorbellBatch, RemotePtr, RetryPolicy, Transport, Verb};
 
 use crate::layout::{
     bucket_offset, pair_index, BucketHeader, DirEntry, TableConfig, BUCKETS_PER_SEGMENT,
@@ -345,11 +345,12 @@ impl RaceTable {
 
     /// Inserts `word` under `hash`. Duplicate words are deduplicated.
     ///
-    /// `entry_hash` is the **split oracle**: given an entry word it must
-    /// return a value agreeing with the entry's original key hash on the
-    /// low 42 bits (used only when this insert must split a segment; for
-    /// the Inner Node Hash Table the oracle reads the referenced node's
-    /// full-prefix hash).
+    /// `entry_hash` is the **split oracle**: given entry words it must
+    /// return, in the same order, values agreeing with the entries' original
+    /// key hashes on the low 42 bits (used only when this insert must split
+    /// a segment, once for all of the segment's entries; for the Inner Node
+    /// Hash Table the oracle reads the referenced nodes' full-prefix hashes
+    /// in one doorbell batch).
     ///
     /// # Errors
     ///
@@ -366,7 +367,7 @@ impl RaceTable {
         mut entry_hash: F,
     ) -> Result<(), RaceError>
     where
-        F: FnMut(&mut DmClient, u64) -> Result<u64, RaceError>,
+        F: FnMut(&mut DmClient, &[u64]) -> Result<Vec<u64>, RaceError>,
     {
         assert!(word != 0, "entry word 0 is reserved for empty slots");
         for _ in 0..self.retry.op_retries {
@@ -489,7 +490,7 @@ impl RaceTable {
         entry_hash: &mut F,
     ) -> Result<(), RaceError>
     where
-        F: FnMut(&mut DmClient, u64) -> Result<u64, RaceError>,
+        F: FnMut(&mut DmClient, &[u64]) -> Result<Vec<u64>, RaceError>,
     {
         self.counters.splits += 1;
         self.refresh(client)?;
@@ -526,7 +527,7 @@ impl RaceTable {
         entry_hash: &mut F,
     ) -> Result<(), RaceError>
     where
-        F: FnMut(&mut DmClient, u64) -> Result<u64, RaceError>,
+        F: FnMut(&mut DmClient, &[u64]) -> Result<Vec<u64>, RaceError>,
     {
         // Authoritative depth/suffix from a bucket header.
         let hdr = BucketHeader::decode(client.read_u64(seg.checked_add(bucket_offset(0))?)?);
@@ -565,6 +566,9 @@ impl RaceTable {
 
         // 4. Phase C: snapshot the segment, migrate relocating entries into
         //    a local image of the new segment, zeroing them in the old one.
+        //    One oracle batch hashes every entry and one doorbell batch
+        //    CASes the relocating ones out, so a split costs a few round
+        //    trips rather than one or two per entry.
         let snapshot = client.read(seg, SEGMENT_BYTES)?;
         let mut image = vec![0u8; SEGMENT_BYTES];
         let new_hdr = BucketHeader {
@@ -576,27 +580,54 @@ impl RaceTable {
             let off = bucket_offset(b) as usize;
             image[off..off + 8].copy_from_slice(&new_hdr.to_le_bytes());
         }
+        let mut slots = Vec::new();
         for b in 0..BUCKETS_PER_SEGMENT {
             for e in 1..=ENTRIES_PER_BUCKET {
-                let off = bucket_offset(b) as usize + 8 * e;
-                let mut word =
-                    u64::from_le_bytes(snapshot[off..off + 8].try_into().expect("8 bytes"));
-                // Per-slot migration loop: handles racing deletes/replaces.
-                loop {
-                    if word == 0 {
-                        break;
-                    }
-                    let h = entry_hash(client, word)?;
-                    if h & (1u64 << d) == 0 {
-                        break; // stays in the old segment
-                    }
-                    let prev = client.cas(seg.checked_add(off as u64)?, word, 0)?;
-                    if prev == word {
-                        place_in_image(&mut image, h, word);
-                        break;
-                    }
-                    word = prev; // entry changed under us; reconsider
+                let off = bucket_offset(b) + 8 * e as u64;
+                let at = off as usize;
+                let word = u64::from_le_bytes(snapshot[at..at + 8].try_into().expect("8 bytes"));
+                if word != 0 {
+                    slots.push((seg.checked_add(off)?, word));
                 }
+            }
+        }
+        let words: Vec<u64> = slots.iter().map(|&(_, w)| w).collect();
+        let hashes = if words.is_empty() {
+            Vec::new()
+        } else {
+            entry_hash(client, &words)?
+        };
+        if hashes.len() != words.len() {
+            return Err(RaceError::Corrupt {
+                what: "split oracle answered a different number of entries",
+            });
+        }
+        let moving: Vec<(RemotePtr, u64, u64)> = slots
+            .iter()
+            .zip(hashes)
+            .filter(|&(_, h)| h & (1u64 << d) != 0)
+            .map(|(&(ptr, word), h)| (ptr, word, h))
+            .collect();
+        let cases: DoorbellBatch = moving
+            .iter()
+            .map(|&(ptr, word, _)| Verb::Cas {
+                ptr,
+                expected: word,
+                new: 0,
+            })
+            .collect();
+        let prevs = if cases.is_empty() {
+            Vec::new()
+        } else {
+            client.execute(cases)?
+        };
+        for (&(ptr, word, h), prev) in moving.iter().zip(prevs) {
+            let prev = prev.into_cas();
+            if prev == word {
+                place_in_image(&mut image, h, word);
+            } else {
+                // The entry changed under us (racing delete/replace).
+                migrate_slot(client, ptr, prev, d, &mut image, entry_hash)?;
             }
         }
         // Write the complete new-segment image in one round trip.
@@ -735,6 +766,39 @@ fn place_in_image(image: &mut [u8], hash: u64, word: u64) {
     debug_assert!(false, "bucket pair overflow during split migration");
 }
 
+/// Migrates one old-segment slot at `ptr` whose entry changed between
+/// the split's snapshot and its migration CAS; `word` is what the slot
+/// holds now. Loops while racing deletes/replaces keep changing it.
+fn migrate_slot<F>(
+    client: &mut DmClient,
+    ptr: RemotePtr,
+    mut word: u64,
+    depth: u8,
+    image: &mut [u8],
+    entry_hash: &mut F,
+) -> Result<(), RaceError>
+where
+    F: FnMut(&mut DmClient, &[u64]) -> Result<Vec<u64>, RaceError>,
+{
+    while word != 0 {
+        let h = *entry_hash(client, &[word])?
+            .first()
+            .ok_or(RaceError::Corrupt {
+                what: "split oracle answered no entry",
+            })?;
+        if h & (1u64 << depth) == 0 {
+            return Ok(()); // stays in the old segment
+        }
+        let prev = client.cas(ptr, word, 0)?;
+        if prev == word {
+            place_in_image(image, h, word);
+            return Ok(());
+        }
+        word = prev;
+    }
+    Ok(())
+}
+
 fn alloc_segment(
     client: &mut DmClient,
     mn_id: u16,
@@ -778,8 +842,8 @@ mod tests {
         (hash & ((1 << 42) - 1)) | TAG
     }
 
-    fn oracle(_c: &mut DmClient, word: u64) -> Result<u64, RaceError> {
-        Ok(word & ((1 << 42) - 1))
+    fn oracle(_c: &mut DmClient, words: &[u64]) -> Result<Vec<u64>, RaceError> {
+        Ok(words.iter().map(|w| w & ((1 << 42) - 1)).collect())
     }
 
     fn mix(i: u64) -> u64 {
@@ -854,6 +918,44 @@ mod tests {
         assert!(t.remove(&mut cl, h, w | 1 << 50).unwrap());
         assert!(!t.remove(&mut cl, h, w | 1 << 50).unwrap());
         assert!(t.search(&mut cl, h).unwrap().is_empty());
+    }
+
+    /// A split hashes its segment's entries in one oracle batch and moves
+    /// the relocating ones in one CAS doorbell: its round trips do not
+    /// grow with the entries it migrates (~24 here; a CAS per relocating
+    /// entry took ~140).
+    #[test]
+    fn split_costs_a_few_round_trips() {
+        let c = cluster();
+        let mut cl = c.client(0);
+        let cfg = TableConfig {
+            initial_depth: 1,
+            max_depth: 10,
+        };
+        let meta = RaceTable::create(&mut cl, 0, &cfg).unwrap();
+        let mut t = RaceTable::open(&mut cl, meta).unwrap();
+        let mut batches = 0;
+        let mut splits = 0;
+        for i in 0..2000u64 {
+            let h = mix(i);
+            let before = (t.counters().splits, cl.stats().round_trips);
+            t.insert(&mut cl, h, test_word(h), |_c, ws: &[u64]| {
+                batches += 1;
+                oracle(_c, ws)
+            })
+            .unwrap();
+            let split = t.counters().splits - before.0;
+            if split > 0 {
+                splits += split;
+                let rts = cl.stats().round_trips - before.1;
+                assert!(
+                    rts <= 32 * split,
+                    "insert {i}: {split} split(s) took {rts} round trips"
+                );
+            }
+        }
+        assert!(splits >= 4, "only {splits} splits");
+        assert_eq!(batches, splits, "one oracle batch per split");
     }
 
     #[test]

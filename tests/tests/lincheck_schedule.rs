@@ -142,3 +142,28 @@ fn pinned_seed_sweep_is_linearizable() {
         }
     }
 }
+
+/// A delete that met a leaf locked by an in-place write used to tombstone
+/// it; the writer's unlocking write then reset the status to Idle and the
+/// delete unlinked the leaf, so a read in between saw the key gone, a
+/// later scan saw the written value, and then it vanished (a lost
+/// insert). These schedules (8 hot keys, reads, scans and multi-gets in
+/// the mix) each hit that interleaving before deletes waited for the lock.
+#[test]
+fn delete_racing_an_in_place_write_is_linearizable() {
+    let cfg = ExploreConfig {
+        check: CheckConfig::default(),
+        ..ExploreConfig::smoke(System::Sphinx, 3, 8, 600)
+    };
+    for seed in [105, 194, 319, 709, 885] {
+        let out = run_scheduled(
+            &cfg,
+            ScheduleMode::Record(ScheduleConfig::adversarial(seed)),
+        );
+        assert!(
+            out.outcome.is_linearizable(),
+            "seed {seed}: {:?}",
+            out.outcome
+        );
+    }
+}

@@ -33,7 +33,10 @@ fn zero_grace_reclamation_is_caught_as_a_violation() {
         check: CheckConfig::default(),
         ..ExploreConfig::smoke(System::Sphinx, 3, 8, 600)
     };
-    let out = run_scheduled(&cfg, ScheduleMode::Record(ScheduleConfig::adversarial(28)));
+    let out = run_scheduled(
+        &cfg,
+        ScheduleMode::Record(ScheduleConfig::adversarial(1301)),
+    );
     assert!(
         !out.outcome.is_linearizable(),
         "checker failed to catch use-after-free serving"
@@ -50,7 +53,10 @@ fn zero_grace_reclamation_is_caught_as_a_violation() {
     // the violation was the missing grace period's fault, not the
     // checker crying wolf.
     reclaim::set_zero_grace(false);
-    let clean = run_scheduled(&cfg, ScheduleMode::Record(ScheduleConfig::adversarial(28)));
+    let clean = run_scheduled(
+        &cfg,
+        ScheduleMode::Record(ScheduleConfig::adversarial(1301)),
+    );
     assert!(clean.outcome.is_linearizable(), "{:?}", clean.outcome);
 
     // The pipelined op scheduler must not blunt the control: ops parked
@@ -68,12 +74,12 @@ fn zero_grace_reclamation_is_caught_as_a_violation() {
         check: CheckConfig::default(),
         ..ExploreConfig::smoke(System::Sphinx, 3, 4, 600)
     };
-    let out8 = run_scheduled(&cfg8, ScheduleMode::Record(ScheduleConfig::adversarial(15)));
+    let out8 = run_scheduled(&cfg8, ScheduleMode::Record(ScheduleConfig::adversarial(29)));
     assert!(
         !out8.outcome.is_linearizable(),
         "use-after-free left no trace with pipelining enabled"
     );
     reclaim::set_zero_grace(false);
-    let clean8 = run_scheduled(&cfg8, ScheduleMode::Record(ScheduleConfig::adversarial(15)));
+    let clean8 = run_scheduled(&cfg8, ScheduleMode::Record(ScheduleConfig::adversarial(29)));
     assert!(clean8.outcome.is_linearizable(), "{:?}", clean8.outcome);
 }

@@ -21,8 +21,13 @@ enum Op {
     ScanIter(Vec<u8>, usize),
 }
 
+/// Short keys over a few small bytes, plus `0xFE`/`0xFF` so scan
+/// successors carry over trailing `0xFF` bytes or have none.
 fn key_strategy() -> impl Strategy<Value = Vec<u8>> {
-    proptest::collection::vec(prop_oneof![3 => 0u8..4, 1 => any::<u8>()], 0..8)
+    proptest::collection::vec(
+        prop_oneof![3 => 0u8..4, 1 => 0xFEu8..=0xFF, 1 => any::<u8>()],
+        0..8,
+    )
 }
 
 fn val_strategy() -> impl Strategy<Value = Vec<u8>> {
@@ -121,6 +126,109 @@ fn check_mode(mode: CacheMode, ops: &[Op]) -> Result<(), TestCaseError> {
         prop_assert_eq!(client.get(k).expect("get"), Some(v.clone()));
     }
     Ok(())
+}
+
+/// Inserts `keys` (value = key), then runs `probes`, in both cache modes.
+fn check_cases(keys: &[Vec<u8>], probes: &[Op]) {
+    let mut ops: Vec<Op> = keys
+        .iter()
+        .map(|k| Op::Insert(k.clone(), k.clone()))
+        .collect();
+    ops.extend_from_slice(probes);
+    for mode in [CacheMode::FilterCache, CacheMode::InhtOnly] {
+        check_mode(mode, &ops).unwrap_or_else(|e| panic!("{mode:?}: {e}"));
+    }
+}
+
+/// A window that starts in a deep subtree and must climb: the successor
+/// of `[1, FF, FF]` carries to `[2]`, and an all-`0xFF` prefix has none.
+#[test]
+fn scan_climb_carries_over_ff() {
+    let keys: Vec<Vec<u8>> = vec![
+        vec![0x01, 0xFF, 0xFF],
+        vec![0x01, 0xFF, 0xFF, 0x00],
+        vec![0x01, 0xFF, 0xFF, 0x01],
+        vec![0x01, 0xFF, 0xFF, 0xFF],
+        vec![0x02],
+        vec![0x02, 0x00],
+        vec![0xFF, 0xFF],
+        vec![0xFF, 0xFF, 0x00],
+        vec![0xFF, 0xFF, 0xFF],
+    ];
+    let mut probes = Vec::new();
+    for low in [
+        vec![0x01, 0xFF, 0xFF, 0x01],
+        vec![0x01, 0xFF, 0xFF, 0xFF, 0x00],
+        vec![0xFF, 0xFF],
+        vec![0xFF, 0xFF, 0xFF],
+    ] {
+        for n in [1, 2, 3, 9] {
+            probes.push(Op::ScanN(low.clone(), n));
+        }
+        probes.push(Op::ScanIter(low.clone(), 9));
+        probes.push(Op::Scan(low, vec![0xFF; 4]));
+    }
+    check_cases(&keys, &probes);
+}
+
+/// `low` equal to an inner node's prefix, which is also a key held in
+/// that node's value slot.
+#[test]
+fn scan_from_value_slot_prefix() {
+    let keys: Vec<Vec<u8>> = ["ab", "abc", "abd", "abda", "abdb", "ac"]
+        .iter()
+        .map(|k| k.as_bytes().to_vec())
+        .collect();
+    let mut probes = Vec::new();
+    for low in ["ab", "abd", "a"] {
+        for n in [1, 2, 4, 10] {
+            probes.push(Op::ScanN(low.as_bytes().to_vec(), n));
+        }
+        probes.push(Op::Scan(low.as_bytes().to_vec(), b"abd".to_vec()));
+    }
+    check_cases(&keys, &probes);
+}
+
+/// Limits that end inside the entry subtree, cross into the next one,
+/// and cross several; `low` past every key; `scan` bounds with an empty
+/// common prefix.
+#[test]
+fn scan_limits_cross_entry_subtrees() {
+    let mut keys = Vec::new();
+    for g in [b'a', b'b', b'c'] {
+        for h in [b'x', b'y', b'z'] {
+            for i in 0..6u8 {
+                keys.push(vec![g, b'/', h, b'/', i]);
+            }
+        }
+    }
+    let mut probes = Vec::new();
+    for n in [1, 3, 6, 7, 13, 30, 60] {
+        probes.push(Op::ScanN(b"a/x/\x02".to_vec(), n));
+        probes.push(Op::ScanN(vec![b'a', b'/', b'z', b'/', 5], n));
+    }
+    probes.push(Op::ScanIter(b"a/y".to_vec(), 40));
+    probes.push(Op::ScanN(vec![0xFF; 3], 5));
+    probes.push(Op::ScanN(b"c/z/\x06".to_vec(), 5));
+    probes.push(Op::Scan(b"a/y".to_vec(), b"c/x/\x03".to_vec()));
+    probes.push(Op::Scan(Vec::new(), vec![0xFF]));
+    check_cases(&keys, &probes);
+}
+
+/// Every scan form on an empty index, and after its only key is removed.
+#[test]
+fn scan_empty_index() {
+    let probes = vec![
+        Op::ScanN(Vec::new(), 5),
+        Op::ScanN(b"k".to_vec(), 5),
+        Op::Scan(Vec::new(), vec![0xFF; 2]),
+        Op::ScanIter(Vec::new(), 5),
+        Op::Insert(b"k".to_vec(), b"v".to_vec()),
+        Op::Remove(b"k".to_vec()),
+        Op::ScanN(Vec::new(), 5),
+        Op::Scan(b"a".to_vec(), b"z".to_vec()),
+    ];
+    check_cases(&[], &probes);
 }
 
 proptest! {
